@@ -11,16 +11,15 @@ the worker joins the pair locally and ships back only the new-edge delta
 as packed ``(src, key)`` arrays.
 
 Applying a delta reproduces the serial superstep exactly: the base pair
-is re-read from the coordinator's own resident set, the delta is
-deduplicated (:func:`~repro.engine.superstep._dedup_pairs`), filtered
-against the base (:func:`~repro.engine.superstep._fresh_pairs` — the
-edge-level idempotency backstop), merged
-(:func:`~repro.engine.superstep._merge_disjoint`), scattered back into
-the two partitions, and recorded in the DDM via the same
-``record_added_edges`` bulk path the serial engine uses.  Because the
-superstep fixpoint is confluent, the final closure is byte-identical to
-the serial schedule's for any worker count; with one worker and one
-in-flight lease the *schedule itself* is the serial schedule.
+is re-read from the coordinator's own resident set, and the delta is
+deduplicated, filtered against the base (the edge-level idempotency
+backstop) and merged in with the superstep's own pair-set algebra
+(:mod:`repro.engine.pairset`), scattered back into the two partitions,
+and recorded in the DDM via the same ``record_added_edges`` bulk path
+the serial engine uses.  Because the superstep fixpoint is confluent,
+the final closure is byte-identical to the serial schedule's for any
+worker count; with one worker and one in-flight lease the *schedule
+itself* is the serial schedule.
 
 Fault model (the failure matrix lives in DESIGN.md §16):
 
@@ -58,9 +57,9 @@ from repro.distributed.messages import (
     partition_fingerprint,
 )
 from repro.engine.join import CsrView
+from repro.engine.pairset import fold_raw_pairs
 from repro.engine.parallel import JoinTelemetry, expand_view
 from repro.engine.stats import SuperstepRecord
-from repro.engine.superstep import _dedup_pairs, _fresh_pairs, _merge_disjoint
 from repro.service.protocol import decode_message, encode_message, error_response
 from repro.util.timing import Stopwatch
 
@@ -176,6 +175,12 @@ class DistributedCoordinator:
         self._stopping.set()
         server, self._server = self._server, None
         if server is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so stop() need not wait out a join.
+            try:
+                server.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 server.close()
             except OSError:
@@ -585,7 +590,7 @@ class DistributedCoordinator:
         the disjoint complement of the base in the final set, so the
         merge of the shipped delta with the coordinator's own base *is*
         the worker's final edge set, in the same canonical lexsorted
-        order ``_merge_disjoint`` always produces.
+        order the superstep's own merge produces.
         """
         from repro.engine.session import _combine_views, record_added_edges
 
@@ -604,17 +609,14 @@ class DistributedCoordinator:
             base_src, base_keys = expand_view(base)
 
             with stats.timers.phase("compute"):
-                delta_src, delta_keys = _dedup_pairs(added_src, added_keys)
-                if len(delta_src):
-                    # Edge-level idempotency backstop: anything already in
-                    # the base (impossible under at-most-once delivery,
-                    # cheap to enforce) is dropped before the merge so
-                    # the DDM sees exactly the genuinely new edges.
-                    delta_src, delta_keys = _fresh_pairs(
-                        delta_src, delta_keys, base
+                # Edge-level idempotency backstop: anything already in
+                # the base (impossible under at-most-once delivery,
+                # cheap to enforce) is dropped before the merge so the
+                # DDM sees exactly the genuinely new edges.
+                (final_src, final_keys), (delta_src, delta_keys) = (
+                    fold_raw_pairs(
+                        (base_src, base_keys), (added_src, added_keys)
                     )
-                final_src, final_keys = _merge_disjoint(
-                    base_src, base_keys, delta_src, delta_keys
                 )
 
             for pid, part in zip(loaded, parts):

@@ -163,7 +163,10 @@ class RunJournal:
         tmp = self.manifest_path.with_name(self.manifest_path.name + ".tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, separators=(",", ":"))
+                # dumps() runs the C encoder; dump() always takes the
+                # pure-Python iterencode path (same bytes, far slower on
+                # the P×P DDM matrices).
+                fh.write(json.dumps(manifest, separators=(",", ":")))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.manifest_path)
@@ -267,6 +270,10 @@ def build_manifest(
     callers run :meth:`PartitionSet.flush_dirty` first.
     """
     workdir = pset.store.workdir
+    # Partition files live directly in the workdir, so the relative path
+    # is a prefix strip; relpath (two abspath normalizations per slot per
+    # commit) is only the fallback.
+    prefix = os.path.join(os.fspath(workdir), "")
     slots: List[Dict[str, object]] = []
     for pid in range(pset.num_partitions):
         slot = pset.slot_state(pid)
@@ -274,9 +281,14 @@ def build_manifest(
             raise CheckpointError(
                 f"partition {pid} has no disk copy; flush_dirty before commit"
             )
+        path = os.fspath(slot["path"])
         slots.append(
             {
-                "file": os.path.relpath(slot["path"], workdir),
+                "file": (
+                    path[len(prefix) :]
+                    if path.startswith(prefix)
+                    else os.path.relpath(path, workdir)
+                ),
                 "edges": slot["edges"],
                 "nbytes": slot["nbytes"],
             }

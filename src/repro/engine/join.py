@@ -94,11 +94,8 @@ def apply_unary_closure(keys: np.ndarray, grammar: FrozenGrammar) -> np.ndarray:
     """
     if len(keys) == 0:
         return keys
-    sizes = np.asarray(
-        [len(c) for c in grammar.unary_closure], dtype=np.int64
-    )
     labels = packed.labels_of(keys)
-    if np.all(sizes[labels] == 1):
+    if np.all(grammar.unary_closure_sizes[labels] == 1):
         return keys  # nothing derivable; common fast path
     pieces: List[np.ndarray] = [keys]
     for label in np.unique(labels):

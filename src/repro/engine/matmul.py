@@ -16,9 +16,9 @@ boolean sparse matrix products over the (∨, ∧) semiring:
   ``M_K |= M_l1 @ M_l2`` — scipy's C matmul merges duplicate derivations
   *inside* the product, so only distinct ``(v, x)`` pairs ever surface;
 * product nonzeros map back to packed ``(src, key)`` candidate arrays and
-  feed the existing ``_dedup_pairs``/``_fresh_pairs`` merge, leaving
-  Algorithm 1's duplicate check (and therefore the closure, byte for
-  byte) untouched.
+  feed the superstep's pair-set dedup / freshness / merge
+  (:mod:`repro.engine.pairset`), leaving Algorithm 1's duplicate check
+  (and therefore the closure, byte for byte) untouched.
 
 The superstep's old×new / new×all call discipline arrives for free: the
 backend multiplies exactly the (left, right) operand sets the superstep

@@ -62,6 +62,7 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.engine import GraspanComputation, GraspanEngine, align_graph_labels
 from repro.engine.join import CsrView
+from repro.engine.pairset import fold_raw_pairs, pairs_for_arrays
 from repro.engine.scheduler import Scheduler
 from repro.engine.session import ClosureSession, record_added_edges
 from repro.engine.stats import EngineStats
@@ -103,22 +104,13 @@ def edge_diff(
     arrays marking edges absent from the base, and the count of base
     edges absent from the new graph.  Both inputs are
     :class:`~repro.graph.graph.MemGraph` columns, already lexsorted and
-    unique, so membership falls out of one ``np.unique`` over the
-    concatenation: a row with count 2 appears on both sides.
+    unique, so each direction is one pair-set membership test.
     """
-    num_base = len(base_src)
-    pairs = np.stack(
-        [
-            np.concatenate([base_src, new_src]),
-            np.concatenate([base_keys, new_keys]),
-        ],
-        axis=1,
-    )
-    _, inverse, counts = np.unique(
-        pairs, axis=0, return_inverse=True, return_counts=True
-    )
-    added_mask = counts[inverse[num_base:]] == 1
-    deleted = int(np.count_nonzero(counts[inverse[:num_base]] == 1))
+    ops = pairs_for_arrays((base_src, base_keys), (new_src, new_keys))
+    base = ops.encode(base_src, base_keys)
+    new = ops.encode(new_src, new_keys)
+    added_mask = ~ops.contains(new, base)
+    deleted = len(base_src) - int(np.count_nonzero(ops.contains(base, new)))
     return added_mask, deleted
 
 
@@ -128,12 +120,12 @@ def seed_delta_edges(
     """Merge delta input edges into a restored closure's partitions.
 
     For each touched partition the added edges are merged into the flat
-    ``(src, key)`` arrays (lexsort + dedup — an added edge the closure
-    already derived is a no-op), and the DDM is updated exactly as the
-    superstep loop would: the row is recomputed exactly and the bulk
-    new-edge accounting bumps the source partitions' versions, marking
-    every interacting pair dirty.  Returns the number of partitions
-    seeded.
+    ``(src, key)`` arrays with the superstep's pair-set algebra (dedup,
+    drop what the closure already derived — a no-op edge — then the
+    linear merge), and the DDM is updated exactly as the superstep loop
+    would: the row is recomputed exactly and the bulk new-edge
+    accounting bumps the source partitions' versions, marking every
+    interacting pair dirty.  Returns the number of partitions seeded.
     """
     if len(added_src) == 0:
         return 0
@@ -144,17 +136,11 @@ def seed_delta_edges(
         pid = int(pid_)
         sel = pid_of == pid
         part = pset.acquire(pid)
-        flat_src = np.repeat(part.vertices, part.row_lengths())
-        merged_src = np.concatenate([flat_src, added_src[sel]])
-        merged_keys = np.concatenate([part.keys, added_keys[sel]])
-        order = np.lexsort((merged_keys, merged_src))
-        merged_src = merged_src[order]
-        merged_keys = merged_keys[order]
-        keep = np.ones(len(merged_src), dtype=bool)
-        keep[1:] = (merged_src[1:] != merged_src[:-1]) | (
-            merged_keys[1:] != merged_keys[:-1]
+        merged, _ = fold_raw_pairs(
+            (np.repeat(part.vertices, part.row_lengths()), part.keys),
+            (added_src[sel], added_keys[sel]),
         )
-        view = CsrView.from_flat(merged_src[keep], merged_keys[keep])
+        view = CsrView.from_flat(*merged)
         part.replace_csr(view.vertices, view.indptr, view.keys)
         pset.note_mutated(pid)
         pset.ddm.set_exact_row(pid, part.destination_counts(pset.vit))
@@ -521,7 +507,7 @@ class ClosureStore:
         }
         tmp = entry / (META_NAME + ".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, separators=(",", ":"))
+            fh.write(json.dumps(meta, separators=(",", ":")))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, entry / META_NAME)

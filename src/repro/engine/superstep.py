@@ -15,11 +15,13 @@ superstep ends when no iteration adds an edge, or early when the
 in-memory edge count crosses ``memory_limit_edges`` (the mid-superstep
 repartitioning trigger, §4.3).
 
-Both sets are stored as flat parallel ``(src, key)`` int64 arrays,
-lexsorted by (src, key) and mutually disjoint — the same layout the
-partitions, the join kernels, and the on-disk format use, so edges flow
-through an iteration as whole-array lexsorts and gathers with no
-per-vertex Python loop.  The per-vertex dict form remains available via
+Both sets live in the pair-set form of :mod:`repro.engine.pairset` for
+the whole fixed point — normally one sorted int64 compound per edge, so
+dedup is one sort, freshness one ``searchsorted`` and ``O ∪ D`` a linear
+merge (DESIGN.md §17).  They are decoded to the flat lexsorted
+``(src, key)`` arrays the partitions, the join kernels and the on-disk
+format use only where a backend joins them, and once more for the
+result.  The per-vertex dict form remains available via
 :attr:`SuperstepResult.adjacency` for tests and the ablation bench.
 """
 
@@ -31,6 +33,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.engine.join import CsrView, apply_unary_closure  # noqa: F401 (re-export)
+from repro.engine.pairset import LexsortPairs, pairs_for_bounds
 from repro.graph import packed
 from repro.grammar.grammar import FrozenGrammar
 
@@ -76,7 +79,7 @@ class SuperstepResult:
 
 
 # ---------------------------------------------------------------------------
-# flat (src, key) pair-set primitives
+# flat (src, key) input normalization
 # ---------------------------------------------------------------------------
 
 def _flatten_adjacency(
@@ -84,8 +87,8 @@ def _flatten_adjacency(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Normalize dict or CSR input to flat lexsorted ``(src, key)`` arrays.
 
-    Every downstream merge (``_merge_disjoint``, ``_fresh_pairs``, the
-    CSR regrouping) relies on per-vertex key arrays being sorted and
+    The pair-set algebra (membership, the linear merge, the CSR
+    regrouping) relies on per-vertex key arrays being sorted and
     duplicate-free; dict input is user-supplied, so rows violating the
     invariant are repaired (sort + dedup) on entry rather than silently
     corrupting the fixed point.
@@ -112,155 +115,31 @@ def _flatten_adjacency(
     return src, keys
 
 
-def _dedup_pairs(
-    src: np.ndarray, keys: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Lexsort raw ``(src, key)`` pairs and drop duplicates."""
-    if len(src) == 0:
-        return packed.EMPTY, packed.EMPTY
-    order = np.lexsort((keys, src))
-    src, keys = src[order], keys[order]
-    keep = np.ones(len(src), dtype=bool)
-    keep[1:] = (src[1:] != src[:-1]) | (keys[1:] != keys[:-1])
-    return src[keep], keys[keep]
-
-
-def _merge_disjoint(
-    a_src: np.ndarray,
-    a_keys: np.ndarray,
-    b_src: np.ndarray,
-    b_keys: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Union of two lexsorted, disjoint pair sets, preserving lexsort."""
-    if len(a_src) == 0:
-        return b_src, b_keys
-    if len(b_src) == 0:
-        return a_src, a_keys
-    src = np.concatenate([a_src, b_src])
-    keys = np.concatenate([a_keys, b_keys])
-    order = np.lexsort((keys, src))
-    return src[order], keys[order]
-
-
-def _unary_closure_pairs(
+def _unary_expand(
     src: np.ndarray, keys: np.ndarray, grammar: FrozenGrammar
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Close flat lexsorted pairs under unary productions, in one gather.
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Expand every edge into its label's unary closure, in one gather.
 
-    The whole-array counterpart of :func:`apply_unary_closure`: every
-    edge is expanded into its label's closure via a flattened closure
-    table, then the result is re-lexsorted and deduplicated.
+    The whole-array counterpart of :func:`apply_unary_closure`.  Returns
+    raw (unsorted, possibly duplicated) pairs, or None when every
+    closure is a singleton and the input is already closed.
     """
     if len(src) == 0:
-        return src, keys
-    sizes = np.asarray([len(c) for c in grammar.unary_closure], dtype=np.int64)
+        return None
     labels = packed.labels_of(keys)
-    counts = sizes[labels]
+    counts = grammar.unary_closure_sizes[labels]
     total = int(counts.sum())
-    if total == len(src):  # every closure is a singleton: already closed
-        return src, keys
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    table = np.asarray(
-        [l for closure in grammar.unary_closure for l in closure], dtype=np.int64
-    )
+    if total == len(src):
+        return None
     cum = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=cum[1:])
     within = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], counts)
-    derived = table[np.repeat(offsets[labels], counts) + within]
+    derived = grammar.unary_closure_table[
+        np.repeat(grammar.unary_closure_offsets[labels], counts) + within
+    ]
     out_src = np.repeat(src, counts)
     out_keys = np.repeat(keys & ~np.int64(packed.LABEL_MASK), counts) | derived
-    return _dedup_pairs(out_src, out_keys)
-
-
-def _fresh_pairs(
-    cand_src: np.ndarray,
-    cand_keys: np.ndarray,
-    base: CsrView,
-    key_bound: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs not present in ``base`` (Algorithm 1's line 24).
-
-    ``cand`` must be lexsorted and unique.  Only the base rows whose
-    source actually appears among the candidates are gathered.  Both the
-    gathered base pairs and the candidates are already lexsorted (base
-    rows come out in increasing source order with sorted keys), so
-    membership needs a *merge*, not another sort: each ``(src, key)``
-    pair packs into one int64 compound and a single ``searchsorted``
-    marks the candidates present in the base.  When ids are too large to
-    pack (sources ≥ 2³¹ or keys ≥ 2³²) the flag-lexsort path takes over.
-
-    ``key_bound`` is an exclusive upper bound on every key on both sides.
-    The superstep derives it *once* from the largest initial target (no
-    join or unary closure ever mints a new target vertex, so
-    ``(max_target + 1) << LABEL_BITS`` holds for every iteration) —
-    without it, each call would rescan both key arrays, a full O(n) pass
-    per iteration on the hot path just to pick the fast path.  Sources
-    need no such bound: they are lexsorted, so their maxima are O(1).
-    """
-    if len(cand_src) == 0 or base.num_edges == 0:
-        return cand_src, cand_keys
-    first = np.ones(len(cand_src), dtype=bool)
-    first[1:] = cand_src[1:] != cand_src[:-1]
-    rows, valid = base.rows_for(cand_src[first])
-    rows = rows[valid]
-    if len(rows) == 0:
-        return cand_src, cand_keys
-    starts = base.indptr[rows]
-    counts = base.indptr[rows + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return cand_src, cand_keys
-    cum = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=cum[1:])
-    within = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], counts)
-    b_keys = base.keys[np.repeat(starts, counts) + within]
-    b_src = np.repeat(base.vertices[rows], counts)
-
-    # Sources are sorted, so the maxima sit at the ends in O(1); the key
-    # bound comes from the caller, or one max scan per side without it.
-    if key_bound is None:
-        key_bound = max(int(cand_keys.max()), int(b_keys.max())) + 1
-    if (
-        int(cand_src[-1]) < 2**31
-        and int(b_src[-1]) < 2**31
-        and key_bound <= 2**32
-    ):
-        shift = np.int64(32)
-        b_comp = (b_src << shift) | b_keys
-        c_comp = (cand_src << shift) | cand_keys
-        pos = np.searchsorted(b_comp, c_comp)
-        pos_in = np.minimum(pos, len(b_comp) - 1)
-        present = (pos < len(b_comp)) & (b_comp[pos_in] == c_comp)
-        fresh = ~present
-        return cand_src[fresh], cand_keys[fresh]
-    return _fresh_pairs_lexsort(cand_src, cand_keys, b_src, b_keys)
-
-
-def _fresh_pairs_lexsort(
-    cand_src: np.ndarray,
-    cand_keys: np.ndarray,
-    b_src: np.ndarray,
-    b_keys: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Membership by flag-lexsort over base-and-candidate pairs.
-
-    The pre-merge implementation of :func:`_fresh_pairs`' final step: a
-    candidate immediately preceded by an identical base pair is a
-    duplicate.  Kept as the fallback for ids too large to pack into a
-    compound int64, and as the oracle for the fast path's equivalence
-    test.
-    """
-    all_src = np.concatenate([b_src, cand_src])
-    all_keys = np.concatenate([b_keys, cand_keys])
-    flags = np.zeros(len(all_src), dtype=np.int64)
-    flags[len(b_src) :] = 1
-    order = np.lexsort((flags, all_keys, all_src))
-    s, k, f = all_src[order], all_keys[order], flags[order]
-    dup = np.zeros(len(s), dtype=bool)
-    dup[1:] = (s[1:] == s[:-1]) & (k[1:] == k[:-1])
-    fresh = (f == 1) & ~dup
-    return s[fresh], k[fresh]
+    return out_src, out_keys
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +169,7 @@ def _group_candidates(
     """
     if len(cand_src) == 0:
         return []
-    src, keys = _dedup_pairs(cand_src, cand_keys)
+    src, keys = LexsortPairs.dedup((cand_src, cand_keys))
     boundaries = np.flatnonzero(src[1:] != src[:-1]) + 1
     starts = np.concatenate([[0], boundaries, [len(src)]])
     return [
@@ -330,47 +209,44 @@ def run_superstep(
 
     backend.begin_superstep()
 
-    added_src_parts: List[np.ndarray] = []
-    added_keys_parts: List[np.ndarray] = []
+    base_src, base_keys = _flatten_adjacency(adjacency)
+
+    # Id bounds for the whole superstep, read once: sources are lexsorted
+    # (maximum at the end) and joins only ever re-use an existing left
+    # source; no join or unary closure introduces a target vertex absent
+    # from the initial edge set, so every key any iteration can produce
+    # stays below (max_target + 1) << LABEL_BITS.
+    if len(base_src):
+        max_src = int(base_src[-1])
+        key_bound = (
+            (int(base_keys.max()) >> packed.LABEL_BITS) + 1
+        ) << packed.LABEL_BITS
+    else:
+        max_src, key_bound = 0, 1
+    ops = pairs_for_bounds(max_src, key_bound)
+
+    added_parts = []
 
     # Initialization (Algorithm 1, lines 3-5): O empty, D the original
     # edge set — here additionally closed under unary productions so the
     # join only ever consults binary productions.
-    base_src, base_keys = _flatten_adjacency(adjacency)
-    new_src, new_keys = _unary_closure_pairs(base_src, base_keys, grammar)
-    old_src, old_keys = packed.EMPTY, packed.EMPTY
-
-    # The `_fresh_pairs` fast-path bound, derived once per superstep: no
-    # join or unary closure ever introduces a target vertex absent from
-    # the initial edge set, so the largest packed key any iteration can
-    # produce stays below (max_target + 1) << LABEL_BITS.  Targets are
-    # within packed.MAX_VERTEX_ID, so the shift cannot overflow in
-    # Python ints.
-    if len(new_keys):
-        key_bound = (
-            int(packed.targets_of(new_keys).max()) + 1
-        ) << packed.LABEL_BITS
-    else:
-        key_bound = 1
-
-    if len(new_src) > len(base_src):
-        derived_src, derived_keys = _fresh_pairs(
-            new_src,
-            new_keys,
-            CsrView.from_flat(base_src, base_keys),
-            key_bound=key_bound,
-        )
-        added_src_parts.append(derived_src)
-        added_keys_parts.append(derived_keys)
-    edges_in_memory = len(new_src)
+    new = ops.encode(base_src, base_keys)
+    expanded = _unary_expand(base_src, base_keys, grammar)
+    if expanded is not None:
+        base, new = new, ops.dedup(ops.encode(*expanded))
+        added_parts.append(ops.difference(new, base))
+    old = ops.empty
+    edges_in_memory = ops.size(new)
 
     iterations = 0
     completed = True
     prev_old_view: Optional[CsrView] = None
     prev_new_view: Optional[CsrView] = None
-    while len(new_src):
+    while ops.size(new):
         iterations += 1
         backend.begin_iteration()
+        new_src, new_keys = ops.decode(new)
+        old_src, old_keys = ops.decode(old)
         new_view = CsrView.from_flat(new_src, new_keys)
         old_view = CsrView.from_flat(old_src, old_keys)
         if prev_new_view is not None:
@@ -390,42 +266,33 @@ def run_superstep(
 
         # Update O (lines 21-23): O <- O ∪ D.  The sets are disjoint, so
         # the in-memory edge count is unchanged by the merge.
-        old_src, old_keys = _merge_disjoint(old_src, old_keys, new_src, new_keys)
-        new_src, new_keys = packed.EMPTY, packed.EMPTY
+        old = ops.union(old, new)
+        new = ops.empty
         prev_old_view, prev_new_view = old_view, new_view
 
-        cand_src = np.concatenate([c1_src, c2_src])
-        cand_keys = np.concatenate([c1_keys, c2_keys])
-        if len(cand_src) == 0:
+        if len(c1_src) + len(c2_src) == 0:
             break
 
         # D <- mergeResult - O (line 24): dedup candidates and keep only
         # edges not already present.
-        cand_src, cand_keys = _dedup_pairs(cand_src, cand_keys)
-        fresh_src, fresh_keys = _fresh_pairs(
-            cand_src,
-            cand_keys,
-            CsrView.from_flat(old_src, old_keys),
-            key_bound=key_bound,
+        candidates = ops.dedup(
+            ops.encode(
+                np.concatenate([c1_src, c2_src]),
+                np.concatenate([c1_keys, c2_keys]),
+            )
         )
-        if len(fresh_src):
-            new_src, new_keys = fresh_src, fresh_keys
-            edges_in_memory += len(fresh_src)
-            added_src_parts.append(fresh_src)
-            added_keys_parts.append(fresh_keys)
+        new = ops.difference(candidates, old)
+        if ops.size(new):
+            edges_in_memory += ops.size(new)
+            added_parts.append(new)
 
         if memory_limit_edges and edges_in_memory > memory_limit_edges:
-            completed = len(new_src) == 0
+            completed = ops.size(new) == 0
             break
 
     # Final merged edge set (D is folded in if we stopped early).
-    final_src, final_keys = _merge_disjoint(old_src, old_keys, new_src, new_keys)
-
-    if added_src_parts:
-        added_src = np.concatenate(added_src_parts)
-        added_keys = np.concatenate(added_keys_parts)
-    else:
-        added_src, added_keys = packed.EMPTY, packed.EMPTY
+    final_src, final_keys = ops.decode(ops.union(old, new))
+    added_src, added_keys = ops.decode(ops.concat(added_parts))
 
     backend.end_superstep()
     return SuperstepResult(

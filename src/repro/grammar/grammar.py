@@ -184,6 +184,9 @@ class FrozenGrammar:
         Whenever an edge with label ``l`` is materialized, edges for every
         label in ``unary_closure[l]`` are materialized with it, so the join
         loop only ever consults binary productions.
+        ``unary_closure_sizes`` / ``unary_closure_offsets`` /
+        ``unary_closure_table`` are the same closures flattened into
+        int64 arrays once, for the engine's whole-array expansion.
 
     ``binary_index`` / ``binary_results``
         A dense ``(num_labels, num_labels) int16`` matrix mapping a pair of
@@ -200,6 +203,16 @@ class FrozenGrammar:
         self._name_to_id = {name: i for i, name in enumerate(names)}
 
         self.unary_closure = self._compute_unary_closure()
+        # The closure table flattened for whole-array gathers: label l's
+        # closure is table[offsets[l] : offsets[l] + sizes[l]].
+        self.unary_closure_sizes = np.asarray(
+            [len(c) for c in self.unary_closure], dtype=np.int64
+        )
+        self.unary_closure_offsets = np.zeros(self.num_labels + 1, dtype=np.int64)
+        np.cumsum(self.unary_closure_sizes, out=self.unary_closure_offsets[1:])
+        self.unary_closure_table = np.asarray(
+            [l for closure in self.unary_closure for l in closure], dtype=np.int64
+        )
         self.binary_index, self.binary_results = self._compute_binary_tables()
 
     # -- construction ---------------------------------------------------

@@ -6,6 +6,7 @@ stale rejection, deadline expiry, early release — is exercised verb by
 verb with the counters asserted after each transition.
 """
 
+import threading
 import time
 
 import pytest
@@ -267,3 +268,20 @@ class TestDrain:
         assert not coordinator.drained()
         time.sleep(0.05)
         assert coordinator.drained(grace=0.01)
+
+
+class TestStop:
+    def test_stop_on_idle_coordinator_is_prompt(self, harness):
+        """Regression: closing the listener alone does not wake a thread
+        blocked in ``accept()`` on Linux, so ``stop()`` used to wait out
+        its whole 5 s join on the accept thread."""
+        coordinator, client, _ = harness
+        client.request({"op": "status"})  # one served connection, then idle
+        started = time.monotonic()
+        coordinator.stop()
+        assert time.monotonic() - started < 1.0
+        assert not [
+            t
+            for t in threading.enumerate()
+            if t.name == "lease-coordinator" and t.is_alive()
+        ]

@@ -126,104 +126,6 @@ class TestThreads:
         assert seq.edges_added == par.edges_added
 
 
-class TestFreshPairsFastPath:
-    """The compound-searchsorted merge must match the flag-lexsort oracle."""
-
-    @staticmethod
-    def _random_case(rng, big_ids=False):
-        from repro.engine.join import CsrView
-        from repro.engine.superstep import _dedup_pairs
-
-        high = 2**35 if big_ids else 50
-        n_base = int(rng.integers(1, 40))
-        n_cand = int(rng.integers(1, 40))
-        b_src = rng.integers(0, high, size=n_base)
-        b_keys = rng.integers(0, 200, size=n_base)
-        b_src, b_keys = _dedup_pairs(b_src, b_keys)
-        # Overlap candidates with base so both outcomes occur.
-        c_src = np.concatenate([b_src[: n_base // 2], rng.integers(0, high, size=n_cand)])
-        c_keys = np.concatenate([b_keys[: n_base // 2], rng.integers(0, 200, size=n_cand)])
-        c_src, c_keys = _dedup_pairs(c_src, c_keys)
-        return c_src, c_keys, CsrView.from_flat(b_src, b_keys)
-
-    def test_matches_lexsort_oracle(self):
-        from repro.engine.superstep import _fresh_pairs
-
-        rng = np.random.default_rng(11)
-        for trial in range(30):
-            c_src, c_keys, base = self._random_case(rng)
-            fast_src, fast_keys = _fresh_pairs(c_src, c_keys, base)
-            oracle_src, oracle_keys = self._oracle(c_src, c_keys, base)
-            assert np.array_equal(fast_src, oracle_src), f"trial {trial}"
-            assert np.array_equal(fast_keys, oracle_keys), f"trial {trial}"
-
-    def test_large_ids_take_lexsort_fallback_and_agree(self):
-        from repro.engine.superstep import _fresh_pairs
-
-        rng = np.random.default_rng(13)
-        for trial in range(10):
-            c_src, c_keys, base = self._random_case(rng, big_ids=True)
-            got_src, got_keys = _fresh_pairs(c_src, c_keys, base)
-            oracle_src, oracle_keys = self._oracle(c_src, c_keys, base)
-            assert np.array_equal(got_src, oracle_src), f"trial {trial}"
-            assert np.array_equal(got_keys, oracle_keys), f"trial {trial}"
-
-    def test_boundary_ids_agree_with_oracle(self):
-        """Ids at and just past the fast path's packing limits (source
-        2**31, key bound 2**32) must agree with the oracle on both sides
-        of each boundary."""
-        from repro.engine.join import CsrView
-        from repro.engine.superstep import _dedup_pairs, _fresh_pairs
-
-        for src_hi in (2**31 - 1, 2**31):
-            for key_hi in (2**32 - 1, 2**32):
-                b_src = np.asarray([0, 3, src_hi], dtype=np.int64)
-                b_keys = np.asarray([key_hi, 7, key_hi], dtype=np.int64)
-                b_src, b_keys = _dedup_pairs(b_src, b_keys)
-                base = CsrView.from_flat(b_src, b_keys)
-                # One duplicate of base, one fresh key on a boundary
-                # source, one fresh boundary key on a small source.
-                c_src = np.asarray([0, 3, src_hi], dtype=np.int64)
-                c_keys = np.asarray([key_hi, key_hi, 5], dtype=np.int64)
-                c_src, c_keys = _dedup_pairs(c_src, c_keys)
-                got_src, got_keys = _fresh_pairs(c_src, c_keys, base)
-                want_src, want_keys = self._oracle(c_src, c_keys, base)
-                assert np.array_equal(got_src, want_src), (src_hi, key_hi)
-                assert np.array_equal(got_keys, want_keys), (src_hi, key_hi)
-
-    def test_explicit_key_bound_matches_rescan(self):
-        """Passing the precomputed per-superstep key bound must give the
-        same answer as the per-call max rescan it replaces."""
-        from repro.engine.superstep import _fresh_pairs
-
-        rng = np.random.default_rng(17)
-        for trial in range(10):
-            c_src, c_keys, base = self._random_case(rng)
-            bound = int(max(c_keys.max(), base.keys.max())) + 1
-            plain = _fresh_pairs(c_src, c_keys, base)
-            bounded = _fresh_pairs(c_src, c_keys, base, key_bound=bound)
-            assert np.array_equal(plain[0], bounded[0]), f"trial {trial}"
-            assert np.array_equal(plain[1], bounded[1]), f"trial {trial}"
-
-    @staticmethod
-    def _oracle(c_src, c_keys, base):
-        """Brute-force set difference over Python tuples."""
-        present = set()
-        for i, v in enumerate(base.vertices):
-            row = base.keys[base.indptr[i] : base.indptr[i + 1]]
-            present.update((int(v), int(k)) for k in row)
-        kept = [
-            (int(s), int(k))
-            for s, k in zip(c_src, c_keys)
-            if (int(s), int(k)) not in present
-        ]
-        if not kept:
-            return packed.EMPTY, packed.EMPTY
-        src = np.asarray([s for s, _ in kept], dtype=np.int64)
-        keys = np.asarray([k for _, k in kept], dtype=np.int64)
-        return src, keys
-
-
 class TestFlattenAdjacency:
     """Dict input must be normalised to the sorted/dup-free invariant."""
 
