@@ -2,7 +2,8 @@
 
 * old/new discipline vs full rejoin (Algorithm 1's reason to exist)
 * merge-time batch dedup vs heap merge vs naive per-edge scan (§4.2)
-* DDM-delta scheduling vs round-robin (§4.3)
+* DDM-delta scheduling vs round-robin at k = 2 (§4.3), and budget-wide
+  sets (DESIGN.md §18)
 """
 
 import numpy as np
@@ -71,11 +72,15 @@ def test_ablation_scheduler(benchmark, postgresql):
         rounds=1,
         iterations=1,
     )
-    ddm, rr = rows
-    assert ddm["final_edges"] == rr["final_edges"], "schedulers agree on the closure"
+    ddm, rr, sets = rows
+    assert (
+        ddm["final_edges"] == rr["final_edges"] == sets["final_edges"]
+    ), "schedulers agree on the closure"
+    # The paper's comparison holds at k = 2; budget-wide sets need fewer.
     assert ddm["supersteps"] <= rr["supersteps"]
+    assert sets["supersteps"] <= ddm["supersteps"]
     text = render_table(
-        "Ablation: DDM-delta scheduling vs round-robin",
+        "Ablation: DDM-delta scheduling vs round-robin (k = 2) and budget-wide sets",
         ["scheduler", "supersteps", "seconds", "I/O (s)", "final edges"],
         rows_from_dicts(
             rows, ["scheduler", "supersteps", "seconds", "io_s", "final_edges"]

@@ -536,7 +536,13 @@ def build_parser() -> argparse.ArgumentParser:
     closure.add_argument("--label", default=None, help="print edges with this label")
     closure.add_argument("--out", default=None, help="write full closure here")
     closure.add_argument(
-        "--max-edges-per-partition", type=int, default=None, dest="max_edges_per_partition"
+        "--max-edges-per-partition",
+        type=int,
+        default=None,
+        dest="max_edges_per_partition",
+        help="partition size threshold: sets the grain of loading and "
+        "repartitioning, not how much is resident at once; without "
+        "--memory-budget every dirty partition loads in each superstep",
     )
     closure.add_argument("--workdir", default=None)
     closure.add_argument(
@@ -544,7 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="memory_budget",
         help="resident-partition byte budget, e.g. 64M or 2G (requires "
-        "--workdir); partitions beyond it are evicted least-recently-used",
+        "--workdir); it sets how many partitions a superstep loads and "
+        "how large its join batches are, and partitions beyond it are "
+        "evicted least-recently-used",
     )
     closure.add_argument(
         "--resume",
@@ -735,7 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-budget",
         default=None,
         dest="memory_budget",
-        help="resident-partition byte budget per closure, e.g. 64M",
+        help="resident-partition byte budget per closure, e.g. 64M; also "
+        "sets how many partitions a superstep loads (without it, every "
+        "dirty partition)",
     )
     serve.add_argument("--threads", type=int, default=1)
     serve.add_argument(

@@ -59,6 +59,7 @@ from repro.distributed.messages import (
 from repro.engine.join import CsrView
 from repro.engine.pairset import fold_raw_pairs
 from repro.engine.parallel import JoinTelemetry, expand_view
+from repro.engine.scheduler import pair_members
 from repro.engine.stats import SuperstepRecord
 from repro.service.protocol import decode_message, encode_message, error_response
 from repro.util.timing import Stopwatch
@@ -339,7 +340,8 @@ class DistributedCoordinator:
             "grammar": grammar_payload(self.session.engine.grammar),
             "backend": self.worker_backend,
             "num_threads": self.worker_threads,
-            "mid_limit": self.session._mid_limit,
+            # Leases are pairs: the paper's two-partition limit.
+            "mid_limit": self.session.engine.mid_superstep_limit(),
             "heartbeat_interval": self.lease_timeout / 3.0,
         }
 
@@ -385,7 +387,7 @@ class DistributedCoordinator:
         session = self.session
         pset = session.pset
         p, q = min(pair), max(pair)
-        loaded = (p,) if p == q else (p, q)
+        loaded = pair_members(pair)
         # Leases reference disk content: make the members' files current.
         pset.flush_dirty()
         parts: List[LeasePartition] = []
@@ -599,7 +601,7 @@ class DistributedCoordinator:
         lease = state.lease
         token = lease.lease_id
         p, q = lease.pair
-        loaded = (p,) if p == q else (p, q)
+        loaded = pair_members(lease.pair)
         watch = Stopwatch().start()
         with pset.pinned(*loaded):
             if pset.memory_budget is None:
@@ -667,7 +669,7 @@ class DistributedCoordinator:
         )
         stats.record_superstep(
             SuperstepRecord(
-                pair=(p, q),
+                pair=loaded,
                 iterations=iterations,
                 edges_added=len(delta_src),
                 seconds=compute_seconds if compute_seconds > 0 else apply_seconds,

@@ -25,7 +25,7 @@ from repro.engine.parallel import (
     shared_memory_available,
 )
 from repro.engine.pipeline import IoPipeline, PendingCommit
-from repro.engine.scheduler import RoundRobinScheduler, Scheduler
+from repro.engine.scheduler import PairScheduler, RoundRobinScheduler, Scheduler
 from repro.engine.session import (
     ClosureSession,
     SessionStateError,
@@ -66,6 +66,7 @@ __all__ = [
     "edge_diff",
     "seed_delta_edges",
     "Scheduler",
+    "PairScheduler",
     "RoundRobinScheduler",
     "EngineStats",
     "SuperstepRecord",

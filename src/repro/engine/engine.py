@@ -142,10 +142,13 @@ class GraspanEngine:
     grammar:
         The frozen analysis grammar.
     max_edges_per_partition:
-        Partition size threshold; drives both the initial partition count
-        and the repartitioning trigger.  Models the memory given to
-        Graspan (§4.1).  ``None`` means "fit in memory": two partitions,
-        no repartitioning — the paper's in-memory mode.
+        Partition size threshold; drives the initial partition count,
+        the repartitioning trigger and the mid-superstep limit.  It sets
+        the *grain* of residency and scheduling, not how much is loaded
+        at once — that is the memory budget's job (each superstep loads
+        as many partitions as the budget holds, DESIGN.md §18).
+        ``None`` means "fit in memory": two partitions, no
+        repartitioning — the paper's in-memory mode.
     workdir:
         Directory for partition files.  ``None`` keeps all partitions
         resident (only sensible with small graphs).
@@ -168,12 +171,18 @@ class GraspanEngine:
         a ``workdir``.  Every backend produces the byte-identical
         closure.
     memory_budget:
-        Resident-partition byte budget (requires ``workdir``).  The
-        loaded superstep pair is pinned; everything else is evicted
-        least-recently-used whenever the total resident CSR bytes would
-        exceed the budget, so peak residency never overshoots by more
-        than one partition.  ``None`` (the default) keeps the historical
-        policy: evict everything except the loaded pair each superstep.
+        Resident-partition byte budget (requires ``workdir``).  It also
+        sets how wide a superstep is: the scheduler loads the best DDM
+        pair plus further dirty partitions while their bytes and one
+        partition of headroom fit, the mid-superstep limit stops the
+        set's growth at what the budget can still hold, and edge-pair
+        joins run in batches sized from it (``superstep.budget_limits``,
+        DESIGN.md §18).  The loaded set is pinned; everything else is
+        evicted least-recently-used whenever the total resident CSR
+        bytes would exceed the budget, so peak residency never
+        overshoots by more than one partition.  ``None`` (the default)
+        loads every dirty partition each superstep and evicts everything
+        else.
     checkpoint:
         Write a superstep-granular run journal + manifest so a crashed
         run can continue via ``run(graph, resume=True)`` (DESIGN.md §9).
@@ -181,8 +190,9 @@ class GraspanEngine:
         ``workdir`` is set; ``True`` requires one; ``False`` disables it.
     pipeline:
         Overlap disk I/O with compute (DESIGN.md §10): a background I/O
-        thread speculatively prefetches the scheduler's predicted next
-        pair while the current superstep computes, and dirty partitions
+        thread speculatively prefetches the members of the scheduler's
+        predicted next pair that the budget still has room for while the
+        current superstep computes, and dirty partitions
         are flushed asynchronously with the checkpoint commit lagging
         one superstep (the flush → commit → purge ordering is
         preserved, so crash/resume semantics are unchanged).  ``None``
@@ -307,20 +317,34 @@ class GraspanEngine:
         finally:
             session.close()
 
-    def mid_superstep_limit(self) -> int:
-        """The resident-edge budget that triggers a mid-superstep bail-out.
+    def mid_superstep_limit(
+        self, num_loaded: int = 2, budget_edges: Optional[int] = None
+    ) -> int:
+        """The resident-edge count that triggers a mid-superstep bail-out.
 
-        Two partitions are loaded at once, each allowed to grow by
-        ``repartition_growth`` before splitting — so the budget is
-        exactly ``2 * max_edges_per_partition * growth``.  (A historical
-        bug doubled this again, silently quadrupling the documented
-        budget and delaying the §4.3 bail-out.)  0 disables the check.
+        ``num_loaded`` partitions are loaded at once (the paper's pair by
+        default), each allowed to grow by ``repartition_growth`` before
+        splitting — so the partition term is exactly
+        ``num_loaded * max_edges_per_partition * growth``.  (A historical
+        bug doubled this again, silently quadrupling the documented limit
+        and delaying the §4.3 bail-out.)  ``budget_edges`` — how many
+        edges the memory budget can still hold with the set loaded — caps
+        it, so a budget-wide set's growth cannot outrun the budget
+        (DESIGN.md §18).  0 disables the check (no partition size and no
+        budget).
         """
-        if self.max_edges_per_partition is None:
-            return 0
-        return int(
-            2 * self.max_edges_per_partition * max(self.repartition_growth, 1.0)
-        )
+        limits = []
+        if self.max_edges_per_partition is not None:
+            limits.append(
+                int(
+                    num_loaded
+                    * self.max_edges_per_partition
+                    * max(self.repartition_growth, 1.0)
+                )
+            )
+        if budget_edges is not None:
+            limits.append(max(1, int(budget_edges)))
+        return min(limits, default=0)
 
 
 def align_graph_labels(graph: MemGraph, grammar: FrozenGrammar) -> MemGraph:

@@ -110,6 +110,25 @@ def apply_unary_closure(keys: np.ndarray, grammar: FrozenGrammar) -> np.ndarray:
     return packed.merge_unique(pieces)
 
 
+def continuation_counts(
+    left_keys: np.ndarray, rights: Sequence[CsrView]
+) -> np.ndarray:
+    """Continuation edges :func:`join_edges` gathers per left edge.
+
+    Summed over ``rights``; an upper bound, because the gather happens
+    before the grammar's label filter.  The superstep uses it to cut a
+    join's left edges into batches whose gathered working set fits a cap.
+    """
+    counts = np.zeros(len(left_keys), dtype=np.int64)
+    targets = packed.targets_of(left_keys)
+    for right in rights:
+        if right.num_edges == 0:
+            continue
+        rows, valid = right.rows_for(targets)
+        counts += np.where(valid, right.indptr[rows + 1] - right.indptr[rows], 0)
+    return counts
+
+
 def join_edges(
     left_src: np.ndarray,
     left_keys: np.ndarray,

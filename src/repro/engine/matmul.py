@@ -27,6 +27,13 @@ per CSR snapshot and carried across iterations — ``O ∪ D`` reuses the
 previous ``O`` blocks verbatim for every label ``D`` did not touch and
 merges (boolean-or) only the labels that gained edges.
 
+Under a memory budget the superstep cuts edge-pair joins into left
+batches to bound their continuation gather (DESIGN.md §18); matmul joins
+stay whole (:attr:`MatmulJoinBackend.gathers_continuations` is False).
+A product collapses duplicate derivations as it forms, so its working
+set is far below the gather's, and every batch would pay the products'
+fixed per-call cost again.
+
 When scipy is unavailable :func:`repro.engine.parallel.make_backend`
 degrades loudly to the serial edge-pair join; when a graph's vertex ids
 are too sparse for affordable ``(dim, dim)`` operands the backend falls
@@ -76,6 +83,7 @@ class MatmulJoinBackend(JoinBackend):
     """
 
     name = "matmul"
+    gathers_continuations = False
 
     def __init__(
         self,
@@ -95,8 +103,8 @@ class MatmulJoinBackend(JoinBackend):
         #: and the unary closure only recombine existing endpoints), so
         #: the dimension is stable once the first non-trivial join ran.
         self._dim = 0
-        #: id(view) -> (view, {label: csr_matrix}) for the live iteration.
-        #: The view reference keeps the id from being recycled.
+        #: id(view) -> (view, {label: csr_matrix}) for the live iteration's
+        #: snapshots.  The view reference keeps the id from being recycled.
         self._view_blocks: Dict[int, Tuple[CsrView, Dict[int, object]]] = {}
         #: Last iteration's blocks, kept one iteration for the O∪D reuse.
         self._retired_blocks: Dict[int, Tuple[CsrView, Dict[int, object]]] = {}
@@ -178,15 +186,25 @@ class MatmulJoinBackend(JoinBackend):
             self.telemetry.matmul_blocks_built += 1
         return blocks
 
-    def _blocks_for_view(self, view: CsrView) -> Dict[int, object]:
+    def _blocks_for_view(
+        self,
+        view: CsrView,
+        flat: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> Dict[int, object]:
+        """Label blocks of ``view``, cached while it is a live snapshot.
+
+        ``flat`` is the view's ``(src, key)`` form when the caller has it.
+        """
         cached = self._view_blocks.get(id(view))
         if cached is not None:
             return cached[1]
-        from repro.engine.parallel import expand_view
+        if flat is None:
+            from repro.engine.parallel import expand_view
 
-        src, keys = expand_view(view)
-        blocks = self._build_blocks(src, keys)
-        self._view_blocks[id(view)] = (view, blocks)
+            flat = expand_view(view)
+        blocks = self._build_blocks(*flat)
+        if self._is_snapshot(view):
+            self._view_blocks[id(view)] = (view, blocks)
         return blocks
 
     def note_union(
@@ -290,12 +308,7 @@ class MatmulJoinBackend(JoinBackend):
         if not self._ensure_dim(needed):
             return self._inline(left_src, left_keys, rights)
         started = time.perf_counter()
-        cached = self._view_blocks.get(id(left_view))
-        if cached is not None:
-            left_blocks = cached[1]
-        else:
-            left_blocks = self._build_blocks(left_src, left_keys)
-            self._view_blocks[id(left_view)] = (left_view, left_blocks)
+        left_blocks = self._blocks_for_view(left_view, (left_src, left_keys))
         right_blocks_list = [self._blocks_for_view(r) for r in rights]
         src, keys = self._multiply(left_blocks, right_blocks_list)
         elapsed = time.perf_counter() - started

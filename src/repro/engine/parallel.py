@@ -88,6 +88,16 @@ def shared_memory_available() -> bool:
         return False
 
 
+def _unlink_segments(segments: Sequence) -> None:
+    """Close and unlink shared segments, ignoring ones already gone."""
+    for segment in segments:
+        try:
+            segment.close()
+            segment.unlink()
+        except Exception:
+            pass
+
+
 @dataclass
 class JoinTelemetry:
     """Parallelism counters for one superstep (reset by ``begin_superstep``).
@@ -217,6 +227,15 @@ class JoinBackend:
     #: engine) consulted before each parallel dispatch.
     injector = None
 
+    #: Whether a join materializes every continuation edge of its left
+    #: edges before the grammar filter (the edge-pair kernel).  Under a
+    #: memory budget the superstep cuts such joins into left batches;
+    #: backends whose joins do not gather (matmul) run them whole.
+    gathers_continuations = True
+
+    #: The live iteration's snapshot views (see :meth:`begin_iteration`).
+    _snapshots: Tuple[CsrView, ...] = ()
+
     def __init__(
         self,
         grammar: FrozenGrammar,
@@ -258,14 +277,29 @@ class JoinBackend:
     def begin_superstep(self) -> None:
         """Reset telemetry (and any published segments) for a superstep."""
         self._release_published()
+        self._snapshots = ()
         self.telemetry = self._fresh_telemetry()
 
-    def begin_iteration(self) -> None:
-        """Mark a new fixed-point iteration: prior CSR snapshots are dead."""
+    def begin_iteration(self, snapshots: Sequence[CsrView] = ()) -> None:
+        """Mark a new fixed-point iteration: prior CSR snapshots are dead.
+
+        ``snapshots`` are the views that live for the whole iteration —
+        the superstep's ``O`` and ``D``.  Only those may carry cached
+        per-view state (published segments, label blocks) until the next
+        call; any other view, such as a left batch cut from one, is used
+        for one join and its state released with it.  Holding the
+        snapshots here also keeps their ``id()`` from being recycled
+        while a cache is keyed on it.
+        """
         self._release_published()
+        self._snapshots = tuple(snapshots)
 
     def end_superstep(self) -> None:
         self._release_published()
+        self._snapshots = ()
+
+    def _is_snapshot(self, view: CsrView) -> bool:
+        return any(view is snapshot for snapshot in self._snapshots)
 
     def _release_published(self) -> None:
         """Hook for backends that pin per-iteration resources."""
@@ -504,7 +538,8 @@ class ProcessJoinBackend(JoinBackend):
 
     The pool persists across supersteps (fork once, join many); each
     superstep iteration publishes its old/new CSR snapshots exactly once
-    and every task references them by segment name.  If shared memory
+    and every task references them by segment name; a left batch cut
+    from a snapshot is published for its own join only.  If shared memory
     fails mid-run the backend degrades to inline joins rather than
     crashing the engine.
     """
@@ -606,25 +641,30 @@ class ProcessJoinBackend(JoinBackend):
             descs.append((segment.name, len(array)))
         return descs, segments
 
-    def _publish_view(self, view: CsrView) -> List[Tuple[str, int]]:
-        """Publish a CSR snapshot once per iteration (cached by identity)."""
-        cached = self._published.get(id(view))
-        if cached is not None:
-            return cached[0]
+    def _publish_view(self, view: CsrView, transient: list) -> List[Tuple[str, int]]:
+        """Publish a CSR view's arrays into shared memory.
+
+        An iteration snapshot is published once and cached by identity
+        until the iteration ends; any other view's segments are appended
+        to ``transient`` for the caller to release once its tasks ran.
+        """
+        snapshot = self._is_snapshot(view)
+        if snapshot:
+            cached = self._published.get(id(view))
+            if cached is not None:
+                return cached[0]
         descs, segments = self._publish_arrays(
             [view.vertices, view.indptr, view.keys]
         )
-        self._published[id(view)] = (descs, segments)
+        if snapshot:
+            self._published[id(view)] = (descs, segments)
+        else:
+            transient.extend(segments)
         return descs
 
     def _release_published(self) -> None:
         for _, segments in self._published.values():
-            for segment in segments:
-                try:
-                    segment.close()
-                    segment.unlink()
-                except Exception:
-                    pass
+            _unlink_segments(segments)
         self._published = {}
 
     # -- joining ---------------------------------------------------------
@@ -704,9 +744,10 @@ class ProcessJoinBackend(JoinBackend):
         ):
             left_src, left_keys = expand_view(left)
             return self._inline(left_src, left_keys, rights)
+        transient: list = []
         try:
-            left_descs = self._publish_view(left)
-            right_descs = [self._publish_view(r) for r in rights]
+            left_descs = self._publish_view(left, transient)
+            right_descs = [self._publish_view(r, transient) for r in rights]
             chunks = plan_row_chunks(left.indptr, self.num_workers)
             # one task per (right × chunk) keeps each worker's gather
             # local to one right view
@@ -723,6 +764,8 @@ class ProcessJoinBackend(JoinBackend):
             self._degrade()
             left_src, left_keys = expand_view(left)
             return self._inline(left_src, left_keys, rights)
+        finally:
+            _unlink_segments(transient)
 
     def join_edge_list(self, left_src, left_keys, left_view, rights):
         """Prefer the CSR form: snapshots publish once and chunk by rows."""
@@ -736,10 +779,10 @@ class ProcessJoinBackend(JoinBackend):
             MIN_PARALLEL_EDGES, 2 * self.num_workers
         ):
             return self._inline(left_src, left_keys, rights)
+        transient: list = []
         try:
-            left_descs, segments = self._publish_arrays([left_src, left_keys])
-            self._published[id(left_src)] = (left_descs, segments)
-            right_descs = [self._publish_view(r) for r in rights]
+            left_descs, transient = self._publish_arrays([left_src, left_keys])
+            right_descs = [self._publish_view(r, transient) for r in rights]
             spans = plan_span_chunks(len(left_src), self.num_workers)
             tasks = [
                 ("arrays", left_descs, [rd], lo, hi)
@@ -751,6 +794,8 @@ class ProcessJoinBackend(JoinBackend):
         except Exception:
             self._degrade()
             return self._inline(left_src, left_keys, rights)
+        finally:
+            _unlink_segments(transient)
 
     def _degrade(self) -> None:
         """Permanently fall back to inline joins after a pool/shm failure.

@@ -1,11 +1,21 @@
-"""Partition-pair scheduling (§4.3).
+"""Superstep scheduling (§4.3): which partitions the next superstep loads.
 
-The scheduler selects which two partitions the next superstep loads.  Its
-two objectives, from the paper: (1) maximize potential edge-pair matches —
-pick the pair with the largest ``delta(p,q) + delta(q,p)`` score from the
-DDM — and (2) favor reusing partitions already in memory, applied as a
-tie-break among pairs whose scores fall within a user-defined slack of
-the best.
+The paper loads two partitions per superstep because two was what fit in
+its RAM; its pair policy has two objectives: (1) maximize potential
+edge-pair matches — pick the pair with the largest
+``delta(p,q) + delta(q,p)`` score from the DDM — and (2) favor reusing
+partitions already in memory, applied as a tie-break among pairs whose
+scores fall within a user-defined slack of the best.  That policy is
+:meth:`Scheduler.choose_pair`, unchanged.
+
+The engine schedules *sets* (DESIGN.md §18): :meth:`Scheduler.choose_set`
+seeds with the best pair, then adds the members of the remaining dirty
+pairs in descending score while the set's bytes plus one partition of
+headroom stay within the memory budget — everything dirty when there is
+no budget.  One superstep then closes every pair inside the set at once.
+:class:`PairScheduler` is the paper's k = 2 policy (the set *is* the
+pair), kept as the faithful baseline for tests and the scheduling
+ablation.
 """
 
 from __future__ import annotations
@@ -16,6 +26,12 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.partition.ddm import DestinationDistributionMap
+
+
+def pair_members(pair: Tuple[int, int]) -> Tuple[int, ...]:
+    """The partitions a pair loads, ascending: ``(p,)`` for ``(p, p)``."""
+    p, q = min(pair), max(pair)
+    return (p,) if p == q else (p, q)
 
 
 @dataclass
@@ -117,8 +133,64 @@ class Scheduler:
         i = order[0]
         return int(ps[i]), int(qs[i])
 
+    def choose_set(
+        self,
+        ddm: DestinationDistributionMap,
+        resident_pids: Sequence[int],
+        sizes: Sequence[int],
+        budget: Optional[int],
+    ) -> Optional[Tuple[int, ...]]:
+        """The partitions the next superstep loads, ascending; None when done.
 
-class RoundRobinScheduler:
+        Seeded with :meth:`choose_pair`'s pair, which is always included.
+        The other dirty pairs follow in descending score (ties by ids); a
+        pair is admitted whole — its members not yet in the set together
+        — while the set's bytes (``sizes``, one entry per partition) plus
+        one partition of headroom (the largest size) stay within
+        ``budget``.  The headroom is the room the superstep's own growth
+        and the next load need (DESIGN.md §18).  With no budget every
+        partition of every dirty pair joins.  Deterministic: it depends
+        on nothing but its arguments.
+        """
+        seed = self.choose_pair(ddm, resident_pids)
+        if seed is None:
+            return None
+        chosen = set(seed)
+        ps, qs, scores = ddm.pair_scores()
+        if budget is None:
+            chosen.update(ps.tolist())
+            chosen.update(qs.tolist())
+            return tuple(sorted(chosen))
+        sizes = np.asarray(sizes, dtype=np.int64)
+        room = int(budget) - int(sizes.max()) - int(sizes[list(chosen)].sum())
+        for i in np.lexsort((qs, ps, -scores)).tolist():
+            extra = {int(ps[i]), int(qs[i])} - chosen
+            cost = sum(int(sizes[pid]) for pid in extra)
+            if extra and cost <= room:
+                chosen |= extra
+                room -= cost
+        return tuple(sorted(chosen))
+
+
+class PairAtATime:
+    """``choose_set`` for pair policies: the set is ``choose_pair``'s pair,
+    whatever the sizes and budget."""
+
+    def choose_set(self, ddm, resident_pids, sizes=(), budget=None):
+        pair = self.choose_pair(ddm, resident_pids)
+        return None if pair is None else pair_members(pair)
+
+
+class PairScheduler(PairAtATime, Scheduler):
+    """The paper's k = 2 policy: every superstep loads the best pair only.
+
+    The faithful §4.3 baseline for the scheduling ablation and for tests
+    that compare against the pair-at-a-time schedule (the distributed
+    plane's leases are still pairs).
+    """
+
+
+class RoundRobinScheduler(PairAtATime):
     """Naive baseline scheduler for the scheduling ablation bench.
 
     Cycles through dirty pairs in id order, ignoring both the DDM deltas

@@ -21,7 +21,12 @@ closure computation over one graph:
 ``run()`` / ``step()``
     Drive the superstep loop to the fixed point — ``step()`` runs one
     scheduler-chosen superstep so callers may interleave their own work;
-    ``run()`` loops it and finalizes.
+    ``run()`` loops it and finalizes.  A superstep loads a *set* of
+    partitions as wide as the memory budget allows
+    (:meth:`~repro.engine.scheduler.Scheduler.choose_set`, DESIGN.md
+    §18), pins it, runs one fixed point over the union, scatters the
+    result back per interval and marks every pair inside the set synced;
+    the paper's pair is the case where only two partitions fit.
 
 ``computation``
     The query surface: after ``run()`` the finished
@@ -59,7 +64,7 @@ from repro.engine.parallel import JoinBackend, make_backend
 from repro.engine.pipeline import IoPipeline, PendingCommit
 from repro.engine.scheduler import Scheduler
 from repro.engine.stats import EngineStats, SuperstepRecord
-from repro.engine.superstep import run_superstep
+from repro.engine.superstep import KEY_BYTES, budget_limits, run_superstep
 from repro.graph import packed
 from repro.graph.graph import MemGraph
 from repro.partition.preprocess import planned_partition_table, preprocess
@@ -130,7 +135,6 @@ class ClosureSession:
         self._backend: Optional[JoinBackend] = None
         self._io: Optional[IoPipeline] = None
         self._pending: Optional[PendingCommit] = None
-        self._mid_limit = 0
         self._computation = None
 
     # ------------------------------------------------------------------
@@ -260,7 +264,6 @@ class ClosureSession:
                 # very first superstep already has a resume point.
                 self._commit_checkpoint()
 
-        self._mid_limit = engine.mid_superstep_limit()
         if engine.parallel_backend == "distributed":
             # Workers overlap their own reads with the coordinator's
             # applies; the coordinator itself commits synchronously per
@@ -295,12 +298,15 @@ class ClosureSession:
             return False
         engine = self.engine
         pset, io, stats = self.pset, self._io, self.stats
-        pair = self.scheduler.choose_pair(
-            pset.ddm, pset.scheduling_resident_pids()
+        loaded = self.scheduler.choose_set(
+            pset.ddm,
+            pset.scheduling_resident_pids(),
+            pset.partition_sizes(),
+            pset.memory_budget,
         )
         if io is not None:
-            pset.reconcile_prefetch(pair if pair else ())
-        if pair is None:
+            pset.reconcile_prefetch(loaded or ())
+        if loaded is None:
             return False
         if len(stats.supersteps) >= engine.max_supersteps:
             raise RuntimeError(
@@ -308,7 +314,7 @@ class ClosureSession:
                 "the computation may be diverging"
             )
         before = io.snapshot() if io is not None else None
-        self._run_one_superstep(pair)
+        self._run_one_superstep(loaded)
         self.superstep_index += 1
         if self.journal is not None:
             if io is None:
@@ -496,21 +502,27 @@ class ClosureSession:
         stats.tmp_scrubbed = max(stats.tmp_scrubbed, pset.store.tmp_scrubbed)
         stats.files_purged = pset.store.files_purged
 
-    def _run_one_superstep(self, pair: Tuple[int, int]) -> None:
+    def _run_one_superstep(self, loaded: Tuple[int, ...]) -> None:
+        """Load, join to a fixed point, scatter and sync one partition set.
+
+        ``loaded`` is the scheduler's set, ascending; the paper's pair is
+        the two-member case and a lone partition the one-member case.
+        """
         engine, pset, stats, io = self.engine, self.pset, self.stats, self._io
         backend = self._backend
-        p, q = min(pair), max(pair)
-        loaded = (p,) if p == q else (p, q)
+        budget = pset.memory_budget
         with pset.pinned(*loaded):
-            if pset.memory_budget is None:
+            if budget is None:
                 # Historical policy: delayed write-back, only partitions
                 # not needed next are evicted.
                 pset.evict_all_except(loaded)
             parts = [pset.acquire(pid) for pid in loaded]
 
-            # Speculative prefetch: predict the pair that runs after this
-            # one and start loading its non-resident members on the I/O
-            # thread while the join below computes.
+            # Speculative prefetch: predict the pair that seeds the next
+            # set and start loading its non-resident members on the I/O
+            # thread while the join below computes (declined where the
+            # budget has no room, so a set that fills it prefetches
+            # nothing).
             peek = getattr(self.scheduler, "peek_pair", None)
             if io is not None and peek is not None:
                 predicted = peek(
@@ -523,24 +535,39 @@ class ClosureSession:
                         if pid not in loaded and not pset.is_resident(pid):
                             pset.prefetch(pid)
 
-            # Combine the loaded CSRs by concatenation: p < q, so their
-            # vertex ranges are disjoint and already ordered.
+            # Combine the loaded CSRs by concatenation: the set is
+            # ascending, so their vertex ranges are disjoint and ordered.
             combined = _combine_views(parts)
+            budget_edges, gather_cap = budget_limits(
+                budget,
+                sum(part.nbytes for part in parts),
+                sum(part.num_edges for part in parts),
+                max(pset.partition_sizes()),
+            )
 
             watch = Stopwatch().start()
             with stats.timers.phase("compute"):
                 result = run_superstep(
                     combined,
                     engine.grammar,
-                    memory_limit_edges=self._mid_limit,
+                    # A lone partition keeps the pair's allowance, as the
+                    # paper's scheduler always gave it.
+                    memory_limit_edges=engine.mid_superstep_limit(
+                        max(len(loaded), 2), budget_edges
+                    ),
                     num_threads=engine.num_threads,
                     backend=backend,
+                    gather_cap=gather_cap,
                 )
             seconds = watch.stop()
 
             # Scatter the merged flat edge set back into the loaded
             # partitions: one searchsorted cut per interval, rows are
-            # zero-copy slices of the result keys.
+            # zero-copy slices of the result keys.  Each member grows into
+            # room the residency manager makes first — evicting other
+            # partitions, then members already scattered — so a set that
+            # outgrew the budget is written back instead of overshooting
+            # it by more than the one partition being scattered.
             for pid, part in zip(loaded, parts):
                 lo = int(
                     np.searchsorted(result.src, part.interval.lo, side="left")
@@ -548,10 +575,12 @@ class ClosureSession:
                 hi = int(
                     np.searchsorted(result.src, part.interval.hi, side="right")
                 )
+                pset.enforce_budget(incoming=(hi - lo - part.num_edges) * KEY_BYTES)
                 view = CsrView.from_flat(result.src[lo:hi], result.keys[lo:hi])
                 part.replace_csr(view.vertices, view.indptr, view.keys)
                 pset.note_mutated(pid)
                 pset.ddm.set_exact_row(pid, part.destination_counts(pset.vit))
+                pset.unpin((pid,))
 
             record_added_edges(pset, result.added_src, result.added_keys)
             if result.completed:
@@ -568,7 +597,7 @@ class ClosureSession:
         telemetry = result.telemetry
         stats.record_superstep(
             SuperstepRecord(
-                pair=(p, q),
+                pair=loaded,
                 iterations=result.iterations,
                 edges_added=result.edges_added,
                 seconds=seconds,

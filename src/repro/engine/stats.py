@@ -21,7 +21,10 @@ class SuperstepRecord:
     wall time is compared against to gauge realized speedup.
     """
 
-    pair: Tuple[int, int]
+    #: The partitions the superstep loaded, ascending — a pair in the
+    #: paper's k = 2 case, ``(p,)`` for a lone partition, as many as the
+    #: budget held otherwise (DESIGN.md §18).
+    pair: Tuple[int, ...]
     iterations: int
     edges_added: int
     seconds: float

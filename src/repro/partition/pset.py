@@ -296,8 +296,16 @@ class PartitionSet:
         Evicted slots report the size remembered from their last
         residency, so this is exact without touching disk.
         """
+        return sum(self.partition_sizes())
+
+    def partition_sizes(self) -> List[int]:
+        """Per-partition byte sizes in pid order, resident or not.
+
+        What the scheduler sizes a superstep's partition set against;
+        evicted slots report their last resident size.
+        """
         with self._lock:
-            return sum(s.nbytes for s in self._slots)
+            return [s.nbytes for s in self._slots]
 
     def interval_lows(self) -> np.ndarray:
         """Per-partition interval lower bounds, as one cached array.
@@ -562,10 +570,17 @@ class PartitionSet:
             for slot in self._slots:
                 slot.pinned = False
 
-    def enforce_budget(self) -> None:
-        """Evict LRU unpinned partitions until within budget (if any)."""
+    def enforce_budget(self, incoming: int = 0) -> None:
+        """Evict LRU unpinned partitions until ``incoming`` more bytes fit.
+
+        ``incoming`` 0 settles the budget after growth; the engine passes
+        each loaded partition's growth *before* scattering it in, so the
+        superstep's set grows into room that other residents (or members
+        already scattered and unpinned) made, not past the budget.  No-op
+        without a budget.
+        """
         with self._lock:
-            self._make_room(incoming=0, keep=())
+            self._make_room(incoming=incoming, keep=())
 
     def _discard(self, path: Optional[Path]) -> None:
         """Drop a superseded partition file — deferred when checkpointing."""

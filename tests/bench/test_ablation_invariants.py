@@ -1,9 +1,10 @@
 """Property tests for the ablation reference implementations."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.ablation import run_superstep_full_rejoin
+from repro.bench.ablation import _group_candidates, run_superstep_full_rejoin
 from repro.engine import run_superstep
 from repro.graph import from_pairs, packed
 from repro.grammar import dyck_grammar
@@ -50,3 +51,17 @@ def test_oldnew_never_does_more_join_output(adjacency):
     # the old/new discipline's output (new edges) is bounded by the full
     # rejoin's raw candidate volume
     assert oldnew.edges_added <= full_volume
+
+
+class TestGroupCandidates:
+    def test_empty_input_returns_no_groups(self):
+        """Regression: empty candidate arrays must short-circuit cleanly."""
+        assert _group_candidates(packed.EMPTY, packed.EMPTY) == []
+
+    def test_groups_cover_all_sources(self):
+        src = np.asarray([3, 1, 3, 2], dtype=np.int64)
+        keys = np.asarray([30, 10, 31, 20], dtype=np.int64)
+        groups = _group_candidates(src, keys)
+        assert {v for v, _ in groups} == {1, 2, 3}
+        by_v = {v: sorted(int(k) for k in ks) for v, ks in groups}
+        assert by_v[3] == [30, 31]

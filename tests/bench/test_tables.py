@@ -108,6 +108,7 @@ class TestAblations:
         rows = ablation_scheduler(
             httpd_small.pointer, pointsto_grammar_extended(), partitions_hint=3
         )
-        ddm, rr = rows
-        assert ddm["final_edges"] == rr["final_edges"]
+        ddm, rr, sets = rows
+        assert ddm["final_edges"] == rr["final_edges"] == sets["final_edges"]
         assert ddm["supersteps"] <= rr["supersteps"]
+        assert sets["supersteps"] <= ddm["supersteps"]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.engine.engine import GraspanEngine
+from repro.engine.scheduler import PairScheduler
 from repro.frontend.graphs import pointer_graph
 from repro.grammar.builtin import pointsto_grammar_extended
 from repro.util.faults import FaultInjector, FaultPlan, InjectedCrash
@@ -46,12 +47,12 @@ def baselines(grammar, tmp_path_factory):
             "max_edges": max_edges,
             "src": np.asarray(closure.src).copy(),
             "keys": np.asarray(closure.keys).copy(),
-            "schedule": [
-                (r.pair, r.edges_added, r.completed)
-                for r in computation.stats.supersteps
-            ],
         }
     return out
+
+
+def schedule_of(stats):
+    return [(r.pair, r.edges_added, r.completed) for r in stats.supersteps]
 
 
 def run_distributed_engine(base, grammar, workdir, workers, **engine_kwargs):
@@ -95,14 +96,23 @@ class TestByteIdentity:
         self, baselines, grammar, tmp_path
     ):
         """One worker, sequential pulls: not just the same closure — the
-        exact serial superstep sequence (pair, delta size, completion)."""
+        exact serial superstep sequence (pair, delta size, completion).
+
+        Leases are pairs, so the serial reference is the engine run with
+        the paper's pair-at-a-time ``PairScheduler``, not the default
+        budget-wide sets."""
         base = baselines["postgresql"]
-        src, keys, stats = run_distributed_engine(base, grammar, tmp_path, 1)
+        serial = GraspanEngine(
+            grammar,
+            max_edges_per_partition=base["max_edges"],
+            workdir=tmp_path / "serial",
+            scheduler=PairScheduler(),
+        ).run(base["graph"])
+        src, keys, stats = run_distributed_engine(
+            base, grammar, tmp_path / "distributed", 1
+        )
         assert_identical(base, src, keys)
-        schedule = [
-            (r.pair, r.edges_added, r.completed) for r in stats.supersteps
-        ]
-        assert schedule == base["schedule"]
+        assert schedule_of(stats) == schedule_of(serial.stats)
 
     def test_four_workers_identical(self, baselines, grammar, tmp_path):
         base = baselines["httpd"]

@@ -61,6 +61,7 @@ def sequential(graph, grammar, max_edges, tmp_path_factory):
         "keys": np.asarray(closure.keys).copy(),
         "supersteps": computation.stats.num_supersteps,
         "checkpoints": computation.stats.checkpoints_written,
+        "max_partition_bytes": computation.stats.max_partition_bytes,
     }
 
 
@@ -221,6 +222,11 @@ class TestMisprediction:
     def test_mispredicted_prefetches_are_evicted_and_accounted(
         self, graph, grammar, max_edges, sequential, tmp_path
     ):
+        # Unbudgeted, every dirty partition is already loaded and there
+        # is nothing left to prefetch.  The largest partition the run
+        # ever held (just before a split) is about two of its final
+        # partitions: as a budget it keeps supersteps narrow and memory
+        # tight, so speculative loads are actually issued and evicted.
         computation = run_closure(
             graph,
             grammar,
@@ -228,6 +234,7 @@ class TestMisprediction:
             tmp_path,
             pipeline=True,
             scheduler=_WrongPeekScheduler(),
+            memory_budget=sequential["max_partition_bytes"],
         )
         # Wrong guesses never hurt correctness...
         assert_same_closure(sequential, computation)

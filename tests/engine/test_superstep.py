@@ -91,24 +91,6 @@ class TestMemoryLimit:
         assert result.completed
 
 
-class TestGroupCandidates:
-    def test_empty_input_returns_no_groups(self, reach):
-        """Regression: empty candidate arrays must short-circuit cleanly."""
-        from repro.engine.superstep import _group_candidates
-
-        assert _group_candidates(packed.EMPTY, packed.EMPTY) == []
-
-    def test_groups_cover_all_sources(self):
-        from repro.engine.superstep import _group_candidates
-
-        src = np.asarray([3, 1, 3, 2], dtype=np.int64)
-        keys = np.asarray([30, 10, 31, 20], dtype=np.int64)
-        groups = _group_candidates(src, keys)
-        assert {v for v, _ in groups} == {1, 2, 3}
-        by_v = {v: sorted(int(k) for k in ks) for v, ks in groups}
-        assert by_v[3] == [30, 31]
-
-
 class TestThreads:
     def test_threaded_matches_sequential(self, dyck):
         import random

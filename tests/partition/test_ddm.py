@@ -116,3 +116,57 @@ class TestSplit:
         ddm = ddm3()
         ddm.set_exact_row(0, np.asarray([9, 9, 9], dtype=np.int64))
         assert list(ddm.counts[0]) == [9, 9, 9]
+
+
+def scalar_mark_synced(ddm, pids):
+    """The historical per-cell loop ``mark_synced`` replaced."""
+    ids = list(pids)
+    for p in ids:
+        for q in ids:
+            ddm.added_since_sync[p, q] = 0
+            ddm.synced_version[p, q] = ddm.version[p]
+
+
+class TestVectorizedMarkSynced:
+    """``mark_synced`` must equal the scalar double loop it replaced."""
+
+    def state(self, ddm):
+        return (
+            ddm.counts.copy(),
+            ddm.added_since_sync.copy(),
+            ddm.version.copy(),
+            ddm.synced_version.copy(),
+        )
+
+    def test_matches_scalar_loop_on_random_maps(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(1, 9))
+            counts = rng.integers(0, 5, size=(n, n))
+            fast, slow = ddm3(counts), ddm3(counts)
+            for step in range(int(rng.integers(1, 6))):
+                src, dst = int(rng.integers(0, n)), int(rng.integers(0, n))
+                for ddm in (fast, slow):
+                    ddm.record_new_edges(src, dst, step + 1)
+                if n > 1 and rng.random() < 0.4:
+                    # Split a partition: matrices grow, ids shift.
+                    pid = int(rng.integers(0, n))
+                    left = rng.integers(0, 4, size=n + 1)
+                    right = rng.integers(0, 4, size=n + 1)
+                    for ddm in (fast, slow):
+                        ddm.split_partition(pid, left, right)
+                    n += 1
+                # Any subset, unordered and with repeats, like a set a
+                # superstep loaded (or a (p, p) pair spelled out).
+                pids = rng.choice(n, size=int(rng.integers(0, n + 2)))
+                fast.mark_synced(int(p) for p in pids)
+                scalar_mark_synced(slow, [int(p) for p in pids])
+                for a, b in zip(self.state(fast), self.state(slow)):
+                    assert np.array_equal(a, b)
+
+    def test_empty_set_is_a_noop(self):
+        ddm = ddm3()
+        before = self.state(ddm)
+        ddm.mark_synced([])
+        for a, b in zip(before, self.state(ddm)):
+            assert np.array_equal(a, b)
