@@ -551,8 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="memory_budget",
         help="resident-partition byte budget, e.g. 64M or 2G (requires "
         "--workdir); it sets how many partitions a superstep loads and "
-        "how large its join batches are, and partitions beyond it are "
-        "evicted least-recently-used",
+        "how large the serial/thread/process edge-pair join batches are "
+        "(the default matmul join runs whole), and partitions beyond it "
+        "are evicted least-recently-used",
     )
     closure.add_argument(
         "--resume",
@@ -585,10 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("serial", "thread", "process", "matmul", "distributed"),
         default=None,
-        help="join data plane (default: thread when --threads > 1, else "
-        "serial; process = shared-memory worker pool; matmul = per-label "
-        "boolean sparse matrix products, needs scipy; distributed = "
-        "coordinator + in-process lease workers, requires --workdir)",
+        help="join data plane (default: matmul = per-label boolean sparse "
+        "matrix products when scipy is installed, else thread when "
+        "--threads > 1, else serial; process = shared-memory worker pool; "
+        "distributed = coordinator + in-process lease workers, requires "
+        "--workdir)",
     )
     closure.add_argument(
         "--workers",
@@ -685,7 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "thread", "matmul"),
         default=None,
         dest="worker_backend",
-        help="join backend each worker runs locally (default serial)",
+        help="join backend each worker runs locally (default: matmul when "
+        "scipy is installed, else serial)",
     )
     coordinator.add_argument(
         "--resume",
@@ -752,6 +755,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("serial", "thread", "process", "matmul"),
         default=None,
+        help="join data plane of every closure the daemon runs (default: "
+        "matmul when scipy is installed, else thread when --threads > 1, "
+        "else serial)",
     )
     serve.add_argument(
         "--workers",

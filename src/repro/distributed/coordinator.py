@@ -116,7 +116,8 @@ class DistributedCoordinator:
         self.port = port
         self.lease_timeout = lease_timeout
         self.max_inflight = max_inflight
-        self.worker_backend = worker_backend or "serial"
+        #: None: each worker takes the engine default (make_backend).
+        self.worker_backend = worker_backend
         self.worker_threads = max(1, int(worker_threads))
         self.failure: Optional[BaseException] = None
 

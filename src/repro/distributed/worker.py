@@ -191,7 +191,7 @@ class DistributedWorker:
         self._mid_limit = int(response.get("mid_limit", 0))
         self._heartbeat_interval = float(response.get("heartbeat_interval", 10.0))
         self._backend = make_backend(
-            response.get("backend") or "serial", self._grammar, self._num_threads
+            response.get("backend"), self._grammar, self._num_threads
         )
         self._backend.__enter__()
 

@@ -159,17 +159,18 @@ class GraspanEngine:
         Which join data plane to use: ``"serial"``, ``"thread"``,
         ``"process"`` (shared-memory worker pool, the only one that
         escapes the GIL), or ``"matmul"`` (per-label boolean sparse
-        matrix products, DESIGN.md §11 — the fastest superstep compute
-        on dense closures).  ``None`` auto-selects from ``num_threads``:
-        ``thread`` when ``num_threads > 1``, else ``serial``.  The pool
-        is created once per :meth:`run` and reused across supersteps;
-        ``process`` falls back to ``thread`` when shared memory is
-        unavailable and ``matmul`` falls back to ``serial`` when scipy
-        is not installed.  ``"distributed"`` (DESIGN.md §16) fans the
-        pair schedule out over ``num_threads`` coordinator-leased worker
-        threads sharing only the workdir's partition files — it requires
-        a ``workdir``.  Every backend produces the byte-identical
-        closure.
+        matrix products, DESIGN.md §11 — the fastest superstep compute).
+        ``None`` picks ``matmul`` whenever scipy is installed, whatever
+        ``num_threads`` is; without scipy it picks ``thread`` when
+        ``num_threads > 1``, else ``serial``.  The pool is created once
+        per :meth:`run` and reused across supersteps; ``process`` falls
+        back to ``thread`` when shared memory is unavailable and an
+        explicit ``matmul`` falls back to ``serial``, with a warning,
+        when scipy is not installed.  ``"distributed"`` (DESIGN.md §16)
+        fans the pair schedule out over ``num_threads``
+        coordinator-leased worker threads sharing only the workdir's
+        partition files — it requires a ``workdir``.  Every backend
+        produces the byte-identical closure.
     memory_budget:
         Resident-partition byte budget (requires ``workdir``).  It also
         sets how wide a superstep is: the scheduler loads the best DDM
@@ -214,7 +215,8 @@ class GraspanEngine:
         ``lease_timeout`` (seconds before an unrenewed lease is
         reissued, default 30), ``max_inflight`` (cap on concurrent
         leases), ``worker_backend``/``worker_threads`` (the join
-        backend each worker runs locally), and
+        backend each worker runs locally; unset, the same default as
+        ``parallel_backend=None``), and
         ``worker_memory_budget`` (per-worker residency budget in
         bytes, default the engine's ``memory_budget``).
     """

@@ -207,12 +207,14 @@ def join_edges_chunked(
     head_mask: np.ndarray,
     num_threads: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Join against several right views, optionally across a thread pool.
+    """Join against several right views on the default backend.
 
-    Chunking over the left edges mirrors Algorithm 1's per-vertex
-    parallelism ("create a separate thread to process each vertex"); the
-    result is identical regardless of chunk boundaries because duplicates
-    are eliminated downstream.
+    The left edges may come in any order.  The default backend is the
+    sparse-product kernel when scipy is installed; without it, the
+    edge-pair join, chunked over the left edges across a thread pool when
+    ``num_threads > 1`` — Algorithm 1's per-vertex parallelism ("create a
+    separate thread to process each vertex").  The candidate *set* is the
+    same either way because duplicates are eliminated downstream.
 
     Convenience wrapper over the :mod:`repro.engine.parallel` backends
     for one-shot joins; the engine itself holds a persistent backend so

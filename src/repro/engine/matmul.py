@@ -9,9 +9,10 @@ edge is materialized before the downstream merge collapses it.  Following
 Algorithm"* (arXiv 2401.11029), one superstep iteration lowers instead to
 boolean sparse matrix products over the (∨, ∧) semiring:
 
-* the flat lexsorted ``(src, key)`` edge arrays split into per-label CSR
-  blocks ``M_l[v, x] = 1  iff  v --l--> x`` (one reshape — the arrays are
-  already CSR-shaped, see §8);
+* the flat ``(src, key)`` edge arrays split into per-label CSR blocks
+  ``M_l[v, x] = 1  iff  v --l--> x`` in one pass — a stable sort by
+  ``(label, row)`` and a single ``bincount`` for every label's
+  ``indptr`` — whatever order the edges arrive in;
 * each binary production ``K ::= l1 l2`` contributes
   ``M_K |= M_l1 @ M_l2`` — scipy's C matmul merges duplicate derivations
   *inside* the product, so only distinct ``(v, x)`` pairs ever surface;
@@ -34,10 +35,14 @@ A product collapses duplicate derivations as it forms, so its working
 set is far below the gather's, and every batch would pay the products'
 fixed per-call cost again.
 
-When scipy is unavailable :func:`repro.engine.parallel.make_backend`
-degrades loudly to the serial edge-pair join; when a graph's vertex ids
-are too sparse for affordable ``(dim, dim)`` operands the backend falls
-back per-call to the bit-identical edge-pair kernel.
+This is the engine's default join whenever scipy imports
+(:func:`repro.engine.parallel.make_backend` with no name).  Without
+scipy the default is the edge-pair join, and an explicit ``"matmul"``
+request degrades to the serial one loudly.  Every label block carries
+``dim + 1`` row pointers however few edges it holds, so a join whose id
+space is too wide for its operands' edge count
+(:data:`MAX_ROW_POINTERS_PER_EDGE`, :data:`MAX_MATMUL_DIM`) falls back
+per call to the bit-identical edge-pair kernel.
 """
 
 from __future__ import annotations
@@ -62,6 +67,17 @@ except ImportError:  # pragma: no cover - exercised via make_backend fallback
 #: product, so pathologically sparse id spaces fall back to the edge-pair
 #: kernel instead of paying it.
 MAX_MATMUL_DIM = 1 << 26
+
+#: Most label-block row pointers a join may need per operand edge.  A
+#: block holds ``dim + 1`` row pointers whatever its edge count, so a
+#: join multiplies only while ``num_labels * (dim + 1)`` stays within
+#: this many per edge of its operands (left plus rights); a sparser call
+#: — an id space far wider than the edges loaded, as a few partitions of
+#: a large graph under a memory budget are — takes the edge-pair kernel,
+#: whose working set follows the edges.  That keeps one view's blocks
+#: (int64 while built) within about 64 bytes per operand edge.  The
+#: generated pointer and dataflow graphs need at most 1.5 and 4.6.
+MAX_ROW_POINTERS_PER_EDGE = 8
 
 
 def scipy_available() -> bool:
@@ -131,9 +147,9 @@ class MatmulJoinBackend(JoinBackend):
     def _max_id_arrays(src: np.ndarray, keys: np.ndarray) -> int:
         if len(src) == 0:
             return -1
-        # src is lexsorted, so its maximum is O(1); targets need a scan,
-        # paid once per snapshot (the block build scans them anyway).
-        return max(int(src[-1]), int(packed.targets_of(keys).max()))
+        # Scan both columns: join_arrays callers may pass edges in any
+        # order, so src[-1] need not be the largest source.
+        return max(int(src.max()), int(packed.targets_of(keys).max()))
 
     @staticmethod
     def _max_id_view(view: CsrView) -> int:
@@ -142,6 +158,22 @@ class MatmulJoinBackend(JoinBackend):
         return max(
             int(view.vertices[-1]), int(packed.targets_of(view.keys).max())
         )
+
+    def _dense_enough(self, left_src, left_keys, rights) -> bool:
+        """Whether this join multiplies; grows the operand dimension if so.
+
+        False when the id space is too wide for the operands' edges
+        (:data:`MAX_ROW_POINTERS_PER_EDGE`) or past :data:`MAX_MATMUL_DIM`.
+        """
+        needed = max(
+            self._max_id_arrays(left_src, left_keys),
+            max(self._max_id_view(r) for r in rights),
+        )
+        edges = len(left_src) + sum(r.num_edges for r in rights)
+        dim = max(self._dim, needed + 1)
+        if self.grammar.num_labels * (dim + 1) > MAX_ROW_POINTERS_PER_EDGE * edges:
+            return False
+        return self._ensure_dim(needed)
 
     def _ensure_dim(self, needed: int) -> bool:
         """Grow the operand dimension; returns False when matmul is off.
@@ -162,28 +194,37 @@ class MatmulJoinBackend(JoinBackend):
     def _build_blocks(
         self, src: np.ndarray, keys: np.ndarray
     ) -> Dict[int, object]:
-        """Split flat lexsorted ``(src, key)`` edges into per-label CSR.
+        """Split flat ``(src, key)`` edges, in any order, into per-label CSR.
 
-        ``(src, key)`` lexsort means each label's rows stay sorted and
-        its columns stay sorted within a row (the key orders by target
-        first), so the CSR triple is assembled directly — no coo sort.
+        One stable sort by ``(label, row)`` lays each label's edges out as
+        one contiguous run of ascending rows, and one ``bincount`` over
+        the same bucket ids counts every label's rows at once, so each
+        block's ``indptr`` is one row of a cumulative sum.  On lexsorted
+        input (the engine's) the stable sort also keeps columns ascending
+        within a row — the key orders by target first — so those blocks
+        are canonical CSR; any other order still yields valid CSR.
         """
+        dim = self._dim
         labels = packed.labels_of(keys)
-        targets = packed.targets_of(keys)
+        per_label = np.bincount(labels)
+        present = np.flatnonzero(per_label)
+        # Bucket id: the label's rank among the present labels selects an
+        # indptr row of dim + 1 slots, and row r counts into slot r + 1.
+        rank = np.cumsum(per_label > 0) - 1
+        bucket = rank[labels] * (dim + 1) + src + 1
+        cols = packed.targets_of(keys[np.argsort(bucket, kind="stable")])
+        indptr = np.bincount(bucket, minlength=len(present) * (dim + 1))
+        indptr = indptr.reshape(len(present), dim + 1)
+        np.cumsum(indptr, axis=1, out=indptr)
+        ends = np.cumsum(per_label[present])
+        data = np.ones(len(cols), dtype=bool)
         blocks: Dict[int, object] = {}
-        for label in np.unique(labels):
-            mask = labels == label
-            rows = src[mask]
-            cols = targets[mask]
-            counts = np.bincount(rows, minlength=self._dim)
-            indptr = np.zeros(self._dim + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            block = _sparse.csr_matrix(
-                (np.ones(len(cols), dtype=bool), cols, indptr),
-                shape=(self._dim, self._dim),
+        for i, label in enumerate(present.tolist()):
+            lo, hi = ends[i] - per_label[label], ends[i]
+            blocks[label] = _sparse.csr_matrix(
+                (data[lo:hi], cols[lo:hi], indptr[i]), shape=(dim, dim)
             )
-            blocks[int(label)] = block
-            self.telemetry.matmul_blocks_built += 1
+        self.telemetry.matmul_blocks_built += len(blocks)
         return blocks
 
     def _blocks_for_view(
@@ -301,11 +342,7 @@ class MatmulJoinBackend(JoinBackend):
         rights = [r for r in rights if r.num_edges]
         if len(left_src) == 0 or not rights:
             return packed.EMPTY, packed.EMPTY
-        needed = max(
-            self._max_id_arrays(left_src, left_keys),
-            max(self._max_id_view(r) for r in rights),
-        )
-        if not self._ensure_dim(needed):
+        if not self._dense_enough(left_src, left_keys, rights):
             return self._inline(left_src, left_keys, rights)
         started = time.perf_counter()
         left_blocks = self._blocks_for_view(left_view, (left_src, left_keys))
@@ -322,11 +359,7 @@ class MatmulJoinBackend(JoinBackend):
         rights = [r for r in rights if r.num_edges]
         if len(left_src) == 0 or not rights:
             return packed.EMPTY, packed.EMPTY
-        needed = max(
-            self._max_id_arrays(left_src, left_keys),
-            max(self._max_id_view(r) for r in rights),
-        )
-        if not self._ensure_dim(needed):
+        if not self._dense_enough(left_src, left_keys, rights):
             return self._inline(left_src, left_keys, rights)
         started = time.perf_counter()
         left_blocks = self._build_blocks(left_src, left_keys)

@@ -17,7 +17,9 @@ Three backends implement one :class:`JoinBackend` interface:
 ``serial``
     The join runs inline.  The baseline every other backend must match
     bit-for-bit (chunking cannot change the result because duplicates
-    are eliminated downstream, during the sorted merge).
+    are eliminated downstream, during the sorted merge), and the default
+    when scipy is missing — with it, the default is the sparse-product
+    ``matmul`` backend of :mod:`repro.engine.matmul`.
 
 ``thread``
     A persistent ``ThreadPoolExecutor``; chunks share the address space,
@@ -828,24 +830,30 @@ def make_backend(
 ) -> JoinBackend:
     """Build the requested backend, degrading gracefully.
 
-    ``None`` auto-selects: ``thread`` when ``num_workers > 1`` else
-    ``serial`` (the historical ``num_threads`` semantics).  ``process``
-    silently substitutes a thread pool when shared memory is unavailable
-    — the result is identical, only slower — and flags the substitution
-    in the telemetry's backend label.  ``matmul`` (the sparse-boolean-
-    matrix kernel, DESIGN.md §11) falls back to ``serial`` with a loud
-    warning when scipy is not installed — the closure is identical, only
-    the edge-pair kernel computes it.
+    ``None`` auto-selects from what the host provides: ``matmul`` (the
+    sparse-boolean-matrix kernel, DESIGN.md §11) whenever scipy imports,
+    at any ``num_workers`` (each of its joins still takes the edge-pair
+    kernel when its id space is too wide for its operands' edges);
+    without scipy, quietly, ``thread`` when ``num_workers > 1`` else
+    ``serial``.  ``process`` silently
+    substitutes a thread pool when shared memory is unavailable — the
+    result is identical, only slower — and flags the substitution in the
+    telemetry's backend label.  An explicit ``matmul`` falls back to
+    ``serial`` with a loud warning when scipy is not installed — the
+    closure is identical, only the edge-pair kernel computes it.
     """
+    from repro.engine.matmul import MatmulJoinBackend, scipy_available
+
     if name is None:
-        name = "thread" if num_workers > 1 else "serial"
+        if scipy_available():
+            name = "matmul"
+        else:
+            name = "thread" if num_workers > 1 else "serial"
     if name not in BACKENDS:
         raise ValueError(
             f"unknown parallel backend {name!r}; choose from {BACKENDS}"
         )
     if name == "matmul":
-        from repro.engine.matmul import MatmulJoinBackend, scipy_available
-
         if not scipy_available():
             logger.warning(
                 "matmul join backend requested but scipy is not installed "

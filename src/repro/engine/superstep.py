@@ -359,9 +359,9 @@ def run_superstep(
 
     All edge-pair joins route through ``backend`` (a
     :class:`~repro.engine.parallel.JoinBackend`).  When ``backend`` is
-    None a transient one is built from ``num_threads`` (the historical
-    behaviour: a thread pool when ``num_threads > 1``) and torn down
-    before returning.
+    None a transient default one is built (``make_backend(None, ...)``:
+    matmul when scipy is installed, else serial or, with
+    ``num_threads > 1``, a thread pool) and torn down before returning.
     """
     from repro.engine.parallel import make_backend
 

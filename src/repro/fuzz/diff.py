@@ -40,7 +40,8 @@ class EngineConfig:
     """One point of the engine configuration matrix."""
 
     name: str
-    backend: Optional[str] = None  # None -> engine default (serial)
+    #: ``None`` -> the engine default (matmul with scipy, else serial).
+    backend: Optional[str] = None
     num_threads: int = 1
     pipeline: Optional[bool] = False
     memory_budget: Optional[int] = None
@@ -51,7 +52,7 @@ class EngineConfig:
     resume: bool = False
 
     def describe(self) -> str:
-        bits = [self.backend or "serial"]
+        bits = [self.backend or "default"]
         if self.pipeline:
             bits.append("pipeline")
         if self.memory_budget is not None:
@@ -61,14 +62,17 @@ class EngineConfig:
         return "+".join(bits)
 
 
-#: The default matrix: serial reference, threaded pipelined, the sparse
-#: matmul kernel, and a budgeted crash/resume configuration.
+#: The default matrix: the serial edge-pair reference (named explicitly —
+#: the engine default is matmul when scipy is installed), threaded
+#: pipelined, the sparse matmul kernel, and a budgeted crash/resume
+#: configuration on the serial join, whose budget cuts joins into
+#: batches (matmul joins are never batched).
 DEFAULT_CONFIGS: Tuple[EngineConfig, ...] = (
-    EngineConfig("serial"),
+    EngineConfig("serial", backend="serial"),
     EngineConfig("thread-pipeline", backend="thread", num_threads=2, pipeline=True),
     EngineConfig("matmul", backend="matmul"),
     EngineConfig(
-        "budget-resume", memory_budget=256 * 1024, resume=True
+        "budget-resume", backend="serial", memory_budget=256 * 1024, resume=True
     ),
 )
 

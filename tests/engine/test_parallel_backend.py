@@ -8,8 +8,10 @@ duplicate elimination happens downstream during the sorted merge.
 import numpy as np
 import pytest
 
+import repro.engine.matmul as matmul_mod
 import repro.engine.parallel as parallel
 from repro.engine import GraspanEngine, naive_closure
+from repro.engine.matmul import MatmulJoinBackend, scipy_available
 from repro.engine.parallel import (
     JoinTelemetry,
     ProcessJoinBackend,
@@ -202,9 +204,40 @@ class TestTelemetry:
 
 
 class TestMakeBackend:
-    def test_auto_selects_serial_then_thread(self, reach):
-        assert isinstance(make_backend(None, reach, 1), SerialJoinBackend)
-        assert isinstance(make_backend(None, reach, 4), ThreadJoinBackend)
+    @pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
+    def test_auto_selects_matmul_with_scipy(self, reach):
+        for workers in (1, 4):
+            with make_backend(None, reach, workers) as backend:
+                assert isinstance(backend, MatmulJoinBackend)
+                assert backend.display_name == "matmul"
+
+    def test_auto_selects_serial_then_thread(self, reach, monkeypatch, caplog):
+        """Without scipy the default is the edge-pair join, quietly."""
+        monkeypatch.setattr(matmul_mod, "_sparse", None)
+        with caplog.at_level("WARNING"):
+            serial = make_backend(None, reach, 1)
+            with make_backend(None, reach, 4) as thread:
+                assert isinstance(thread, ThreadJoinBackend)
+        assert isinstance(serial, SerialJoinBackend)
+        assert serial.display_name == "serial"
+        assert not caplog.records
+
+    def test_explicit_matmul_without_scipy_warns(
+        self, reach, chain_graph, monkeypatch, caplog
+    ):
+        """A named matmul request that cannot be honoured is loud, and the
+        serial fallback's closure is byte-identical to the default's."""
+        expected = GraspanEngine(reach).run(chain_graph).to_memgraph()
+        monkeypatch.setattr(matmul_mod, "_sparse", None)
+        with caplog.at_level("WARNING"):
+            comp = GraspanEngine(reach, parallel_backend="matmul").run(chain_graph)
+        assert any("scipy" in r.message for r in caplog.records)
+        assert all(
+            r.backend == "serial(matmul-fallback)" for r in comp.stats.supersteps
+        )
+        closure = comp.to_memgraph()
+        assert np.array_equal(np.asarray(expected.src), np.asarray(closure.src))
+        assert np.array_equal(np.asarray(expected.keys), np.asarray(closure.keys))
 
     def test_unknown_name_rejected(self, reach):
         with pytest.raises(ValueError, match="unknown parallel backend"):

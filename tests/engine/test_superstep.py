@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.engine import naive_closure, run_superstep
+from repro.engine.parallel import make_backend
 from repro.graph import from_pairs, packed
 
 
@@ -102,8 +103,11 @@ class TestThreads:
                 for _ in range(50)
             }
         )
-        seq = run_superstep(adjacency_of(edges), dyck, num_threads=1)
-        par = run_superstep(adjacency_of(edges), dyck, num_threads=4)
+        # Named backends: the default is matmul whenever scipy is installed.
+        with make_backend("serial", dyck, 1) as serial:
+            seq = run_superstep(adjacency_of(edges), dyck, backend=serial)
+        with make_backend("thread", dyck, 4) as thread:
+            par = run_superstep(adjacency_of(edges), dyck, backend=thread)
         assert closure_edges(seq) == closure_edges(par)
         assert seq.edges_added == par.edges_added
 

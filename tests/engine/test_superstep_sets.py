@@ -162,12 +162,20 @@ def edge_set(src, keys):
     return set(zip(np.asarray(src).tolist(), np.asarray(keys).tolist()))
 
 
+def serial_superstep(adjacency, grammar, **kwargs):
+    """``run_superstep`` on the edge-pair join — the oracle, and the
+    backend whose joins a gather cap cuts into batches (the default,
+    matmul when scipy is installed, runs them whole)."""
+    with make_backend("serial", grammar, 1) as serial:
+        return run_superstep(adjacency, grammar, backend=serial, **kwargs)
+
+
 class TestGatherCap:
     @given(adjacencies(), st.integers(1, 40))
     @settings(max_examples=80, deadline=None)
     def test_batched_join_is_byte_identical(self, adjacency, cap):
-        whole = run_superstep(dict(adjacency), DYCK)
-        batched = run_superstep(dict(adjacency), DYCK, gather_cap=cap)
+        whole = serial_superstep(dict(adjacency), DYCK)
+        batched = serial_superstep(dict(adjacency), DYCK, gather_cap=cap)
         assert batched.completed
         assert np.array_equal(whole.src, batched.src)
         assert np.array_equal(whole.keys, batched.keys)
@@ -180,8 +188,8 @@ class TestGatherCap:
     def test_early_stop_mid_iteration_is_sound(self, adjacency, cap, limit):
         """A batch-granular early stop returns a subset of the closure,
         flagged incomplete — never a partial set claiming completion."""
-        whole = run_superstep(dict(adjacency), DYCK)
-        part = run_superstep(
+        whole = serial_superstep(dict(adjacency), DYCK)
+        part = serial_superstep(
             dict(adjacency), DYCK, memory_limit_edges=limit, gather_cap=cap
         )
         got = edge_set(part.src, part.keys)
@@ -220,9 +228,11 @@ def records_of(stats):
 
 @pytest.fixture(scope="module")
 def reference(graph, grammar, max_edges, tmp_path_factory):
-    """The unbudgeted closure plus the byte sizes the budgets derive from."""
+    """The unbudgeted serial closure plus the byte sizes the budgets
+    derive from."""
     computation = GraspanEngine(
         grammar,
+        parallel_backend="serial",
         max_edges_per_partition=max_edges,
         workdir=tmp_path_factory.mktemp("reference"),
     ).run(graph)
@@ -267,7 +277,7 @@ class TestBatchViews:
     "fixed point"."""
 
     def test_process_backend_batches_match_serial(self, graph, grammar):
-        whole = run_superstep(graph_view(graph), grammar)
+        whole = serial_superstep(graph_view(graph), grammar)
         # One persistent backend over many supersteps, as in the engine:
         # thousands of batch views come and go, so freed addresses recur.
         with make_backend("process", grammar, 2) as backend:
@@ -315,7 +325,7 @@ class TestBatchViews:
             return left_batches(*args)
 
         monkeypatch.setattr(superstep, "_left_batches", spy)
-        whole = run_superstep(graph_view(graph), grammar)
+        whole = serial_superstep(graph_view(graph), grammar)
         with make_backend("matmul", grammar, 1) as backend:
             capped = run_superstep(
                 graph_view(graph), grammar, backend=backend, gather_cap=500

@@ -49,6 +49,19 @@ class TestDifferentialMatrix:
         assert any(c.backend == "matmul" for c in DEFAULT_CONFIGS)
         assert any(c.resume for c in DEFAULT_CONFIGS)
 
+    def test_serial_config_is_in_the_default_matrix(self):
+        """The edge-pair reference is named, not left to the engine
+        default (matmul whenever scipy is installed)."""
+        serial = [c for c in DEFAULT_CONFIGS if c.backend == "serial"]
+        assert serial and serial[0].describe() == "serial"
+
+    def test_budgeted_resume_runs_the_batched_join(self):
+        """Only edge-pair joins are cut into budget batches, so the
+        crash/resume config under a budget must name one."""
+        budgeted = [c for c in DEFAULT_CONFIGS if c.memory_budget and c.resume]
+        assert budgeted
+        assert all(c.backend in ("serial", "thread", "process") for c in budgeted)
+
     def test_empty_graph_case(self, tmp_path):
         seed = next(
             s for s in range(0, 90, 3) if "empty" in raw_case(s).name
